@@ -412,28 +412,46 @@ func BenchmarkAblationCompressedInstances(b *testing.B) {
 
 func BenchmarkGapConstrained(b *testing.B) {
 	db, _ := tcasFull(b)
-	small := seq.NewDB()
-	for i := 0; i < 200 && i < len(db.Seqs); i++ {
+	small := firstSeqs(db, 200)
+	for _, maxGap := range []int{0, 2} {
+		b.Run(fmt.Sprintf("maxgap=%d", maxGap), func(b *testing.B) {
+			gapBench(b, small, gapped.Options{MinSupport: 150, MaxGap: maxGap, MaxPatternLength: 5})
+		})
+	}
+	// The service benchmark's gapped3 request: the first 200 sequences of
+	// the Fig2 Quest draw, maxGap 3, minsup 8, unbounded length.
+	quest, _ := questScaled(b)
+	quest200 := firstSeqs(quest, 200)
+	b.Run("quest200-maxgap3-minsup8", func(b *testing.B) {
+		gapBench(b, quest200, gapped.Options{MinSupport: 8, MaxGap: 3})
+	})
+}
+
+// firstSeqs copies the first n sequences of db into a fresh database.
+func firstSeqs(db *seq.DB, n int) *seq.DB {
+	out := seq.NewDB()
+	for i := 0; i < n && i < len(db.Seqs); i++ {
 		var names []string
 		for _, e := range db.Seqs[i] {
 			names = append(names, db.Dict.Name(e))
 		}
-		small.Add("", names)
+		out.Add("", names)
 	}
-	for _, maxGap := range []int{0, 2} {
-		b.Run(fmt.Sprintf("maxgap=%d", maxGap), func(b *testing.B) {
-			b.ReportAllocs()
-			var n int
-			for i := 0; i < b.N; i++ {
-				res, err := gapped.Mine(small, gapped.Options{MinSupport: 150, MaxGap: maxGap, MaxPatternLength: 5})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = len(res.Patterns)
-			}
-			b.ReportMetric(float64(n), "patterns")
-		})
+	return out
+}
+
+func gapBench(b *testing.B, db *seq.DB, opt gapped.Options) {
+	b.Helper()
+	b.ReportAllocs()
+	var n int
+	for i := 0; i < b.N; i++ {
+		res, err := gapped.Mine(db, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(res.Patterns)
 	}
+	b.ReportMetric(float64(n), "patterns")
 }
 
 // --- Micro-benchmarks of the primitives ---

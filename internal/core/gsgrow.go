@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -393,6 +394,12 @@ func (m *miner) enterNode() {
 		if m.stopAll != nil {
 			m.stopAll.Store(true)
 		}
+	} else if m.opt.Ctx != nil && m.ctxTick == 0 {
+		// The poll just ran: yield, so that a server's short requests (an
+		// append, a cache hit) get a P without waiting for async preemption
+		// while CPU-bound mines hold every P. Top-k miners carry no Ctx in
+		// their options and never reach this.
+		runtime.Gosched()
 	}
 	if m.sched != nil && !m.stopped {
 		m.maybeDonate()

@@ -24,11 +24,21 @@
 //     event of a gap-valid instance keeps it gap-valid), which is exactly
 //     what depth-first pattern growth needs: every frequent pattern is
 //     reachable through frequent prefixes.
+//
+// Cost model. A DFS node sweeps its prefix's gap-valid ends once, visiting
+// each position of the union of the windows [p+1+MinGap, p+1+MaxGap] exactly
+// once, and buckets the positions by event: that is every child's end list at
+// once, in O(Σ prefix ends × (MaxGap−MinGap+1)) per node, capped by the span
+// of the sequences the prefix occurs in. A child whose end count (an upper
+// bound on its support) reaches MinSupport costs one max-flow if it has two
+// or more events; singletons need none. End lists live in per-depth arenas
+// and the max-flow in one workspace, all reused across the run.
 package gapped
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/seq"
@@ -102,57 +112,54 @@ func Mine(db *seq.DB, opt Options) (*Result, error) {
 		default:
 		}
 	}
-	// Seed: all distinct events with their occurrence lists. A singleton
-	// pattern has no gaps, so its support is its occurrence count.
-	occ := make(map[seq.EventID][][]int32) // event -> per-sequence end positions
-	for i, s := range db.Seqs {
-		for p := 1; p <= len(s); p++ {
-			e := s.At(p)
-			if occ[e] == nil {
-				occ[e] = make([][]int32, len(db.Seqs))
-			}
-			occ[e][i] = append(occ[e][i], int32(p))
-		}
-	}
-	events := make([]seq.EventID, 0, len(occ))
-	for e := range occ {
-		events = append(events, e)
-	}
-	sortEventIDs(events)
-	m.events = events
-	for _, e := range events {
-		if m.stopped {
-			break
-		}
-		ends := occ[e]
-		total := 0
-		for _, list := range ends {
-			total += len(list)
-		}
-		if total < opt.MinSupport {
-			continue
-		}
-		m.pattern = append(m.pattern[:0], e)
-		m.chain = append(m.chain[:0], ends)
-		m.grow(total)
-		if m.stopped {
-			break
-		}
+	if !m.stopped {
+		m.descend(0)
 	}
 	m.res.Duration = time.Since(start)
 	return m.res, nil
 }
 
+// hit is one gap-valid end: 1-based position pos of sequence seq.
+type hit struct{ seq, pos int32 }
+
+// swept is a position visited by a node's sweep, tagged with its event.
+type swept struct {
+	hit
+	ev seq.EventID
+}
+
+// child is one extension of a node by event ev whose end count passed the
+// MinSupport bound; its ends are arenas[depth][lo:hi].
+type child struct {
+	ev     seq.EventID
+	lo, hi int32
+}
+
 type gapMiner struct {
 	db      *seq.DB
 	opt     Options
-	events  []seq.EventID
 	pattern []seq.EventID
-	// chain[j] holds, per sequence, the ascending gap-valid end positions
-	// of the prefix pattern[:j+1] (positions where some gap-valid instance
-	// of the prefix ends). This is the gap-constrained analogue of a
-	// projected database.
-	chain   [][][]int32
+	// chain[j] holds the gap-valid ends of the prefix pattern[:j+1] (the
+	// positions where some gap-valid instance of it ends), sorted by
+	// sequence then position: the gap-constrained analogue of a projected
+	// database. It is a slice of arenas[j].
+	chain [][]hit
+	// arenas[d] and kids[d] hold the children of the current depth-d node
+	// (the root is depth 0). Siblings reuse them: a node's children are
+	// only rewritten once its subtree is done.
+	arenas [][]hit
+	kids   [][]child
+	// Sweep scratch shared by every depth: a node buckets its sweep before
+	// any child runs.
+	sweep   []swept
+	count   []int32 // per event: ends found by the current sweep
+	cursor  []int32 // per event: next arena slot, -1 when pruned
+	touched []seq.EventID
+	// Max-flow scratch: per-layer cursors and runs of one sequence, and the
+	// flow graph.
+	cur     []int
+	runs    [][]hit
+	g       flow
 	res     *Result
 	stopped bool
 	tick    int // nodes since the last Ctx poll
@@ -181,10 +188,8 @@ func (m *gapMiner) ctxPoll() bool {
 	}
 }
 
-// grow handles the current prefix, whose per-sequence end lists are on top
-// of the chain and whose total end count is endCount (an upper bound on
-// support, since non-overlapping instances end at distinct positions).
-func (m *gapMiner) grow(endCount int) {
+// grow handles the current prefix, whose ends are on top of the chain.
+func (m *gapMiner) grow() {
 	if m.ctxPoll() {
 		return
 	}
@@ -210,121 +215,186 @@ func (m *gapMiner) grow(endCount int) {
 	if m.opt.MaxPatternLength > 0 && len(m.pattern) >= m.opt.MaxPatternLength {
 		return
 	}
-	ends := m.chain[len(m.chain)-1]
-	for _, e := range m.events {
-		next, count := m.extendEnds(ends, e)
-		if count < m.opt.MinSupport {
-			continue // upper bound: support <= number of distinct ends
-		}
-		m.pattern = append(m.pattern, e)
-		m.chain = append(m.chain, next)
-		m.grow(count)
-		m.pattern = m.pattern[:len(m.pattern)-1]
-		m.chain = m.chain[:len(m.chain)-1]
+	m.descend(len(m.pattern))
+}
+
+// descend visits the children of the depth-d node in ascending event order.
+func (m *gapMiner) descend(d int) {
+	for _, c := range m.expand(d) {
+		m.pattern = append(m.pattern[:d], c.ev)
+		m.chain = append(m.chain[:d], m.arenas[d][c.lo:c.hi])
+		m.grow()
 		if m.stopped {
 			return
 		}
 	}
 }
 
-// extendEnds computes the gap-valid end positions of prefix ∘ e from the
-// prefix's end positions: q is an end of the extension iff S[q] = e and
-// some prefix end p satisfies MinGap <= q-p-1 <= MaxGap. Both lists are
-// ascending; a two-pointer sweep gives O(|ends| + |seq|) per sequence.
-func (m *gapMiner) extendEnds(ends [][]int32, e seq.EventID) ([][]int32, int) {
-	out := make([][]int32, len(m.db.Seqs))
-	total := 0
-	for i, list := range ends {
-		if len(list) == 0 {
+// expand computes the children of the depth-d node: every event whose
+// extension has at least MinSupport gap-valid ends (support is at most the
+// number of distinct ends, since non-overlapping instances end at distinct
+// positions), in ascending event order, with their end lists in arenas[d].
+//
+// The root (d = 0) visits every position. A deeper node sweeps its prefix's
+// ends: q ends the extension by S[q] iff some prefix end p in the same
+// sequence has MinGap <= q-p-1 <= MaxGap, so each sequence's windows
+// [p+1+MinGap, p+1+MaxGap] are merged in ascending p and every position of
+// their union is visited once, in ascending order. Bucketing the visits by
+// event with a stable counting sort then keeps each end list sorted.
+func (m *gapMiner) expand(d int) []child {
+	sw := m.sweep[:0]
+	if d == 0 {
+		maxEv := seq.EventID(-1)
+		for i, s := range m.db.Seqs {
+			for k, e := range s {
+				sw = append(sw, swept{hit{int32(i), int32(k + 1)}, e})
+				maxEv = max(maxEv, e)
+			}
+		}
+		n := int(maxEv) + 1
+		m.count = slices.Grow(m.count[:0], n)[:n]
+		m.cursor = slices.Grow(m.cursor[:0], n)[:n]
+		clear(m.count)
+	} else {
+		minGap, maxGap := m.opt.MinGap, m.opt.MaxGap
+		ends := m.chain[d-1]
+		for k := 0; k < len(ends); {
+			i := ends[k].seq
+			s := m.db.Seqs[i]
+			next := 1 // first position of s not yet visited
+			for ; k < len(ends) && ends[k].seq == i; k++ {
+				p := int(ends[k].pos)
+				if minGap >= len(s)-p {
+					continue // the window starts past the sequence's end
+				}
+				lo := max(p+1+minGap, next)
+				hi := p + 1 + min(maxGap, len(s)-p-1)
+				for q := lo; q <= hi; q++ {
+					sw = append(sw, swept{hit{i, int32(q)}, s[q-1]})
+				}
+				next = max(next, hi+1)
+			}
+		}
+	}
+	m.sweep = sw
+
+	touched := m.touched[:0]
+	for _, h := range sw {
+		if m.count[h.ev] == 0 {
+			touched = append(touched, h.ev)
+		}
+		m.count[h.ev]++
+	}
+	slices.Sort(touched)
+	m.touched = touched
+	for len(m.kids) <= d {
+		m.kids = append(m.kids, nil)
+		m.arenas = append(m.arenas, nil)
+	}
+	kids := m.kids[d][:0]
+	size := int32(0)
+	for _, e := range touched {
+		c := m.count[e]
+		m.count[e] = 0
+		if int(c) < m.opt.MinSupport {
+			m.cursor[e] = -1
 			continue
 		}
-		s := m.db.Seqs[i]
-		lo, hi := 0, 0 // window of prefix ends reaching position q
-		var res []int32
-		for q := int(list[0]) + 1 + m.opt.MinGap; q <= len(s); q++ {
-			if s.At(q) != e {
-				continue
-			}
-			// valid p range: q-1-MaxGap <= p <= q-1-MinGap
-			loBound := int32(q - 1 - m.opt.MaxGap)
-			hiBound := int32(q - 1 - m.opt.MinGap)
-			for lo < len(list) && list[lo] < loBound {
-				lo++
-			}
-			if hi < lo {
-				hi = lo
-			}
-			for hi < len(list) && list[hi] <= hiBound {
-				hi++
-			}
-			if lo < hi {
-				res = append(res, int32(q))
-			}
-		}
-		out[i] = res
-		total += len(res)
+		m.cursor[e] = size
+		kids = append(kids, child{e, size, size + c})
+		size += c
 	}
-	return out, total
+	m.kids[d] = kids
+	arena := slices.Grow(m.arenas[d][:0], int(size))[:size]
+	for _, h := range sw {
+		if c := m.cursor[h.ev]; c >= 0 {
+			arena[c] = h.hit
+			m.cursor[h.ev] = c + 1
+		}
+	}
+	m.arenas[d] = arena
+	return kids
 }
 
 // support computes the exact gap-constrained repetitive support of the
 // current pattern: per sequence, maximum node-disjoint paths through the
-// layered gap-valid occurrence DAG (layer j = gap-valid end positions of
-// pattern[:j+1]); across sequences, supports add up.
+// layered gap-valid occurrence DAG (layer j = gap-valid ends of
+// pattern[:j+1] in that sequence); across sequences, supports add up.
 func (m *gapMiner) support() int {
-	if len(m.pattern) == 1 {
+	depth := len(m.pattern)
+	if depth == 1 {
 		// No gaps to respect: every occurrence is an instance and all
 		// single-event instances are pairwise non-overlapping.
-		total := 0
-		for _, list := range m.chain[0] {
-			total += len(list)
-		}
-		return total
+		return len(m.chain[0])
 	}
 	m.res.FlowCalls++
+	// Only sequences with ends in the last layer can carry flow. Every end
+	// extends an end of the previous layer in the same sequence, so the
+	// shallower layers hold a superset of these sequences and each layer's
+	// cursor only moves forward.
+	m.cur = slices.Grow(m.cur[:0], depth)[:depth]
+	clear(m.cur)
+	m.runs = slices.Grow(m.runs[:0], depth)[:depth]
 	total := 0
-	for i := range m.db.Seqs {
-		total += m.seqFlow(i)
+	for {
+		last := m.chain[depth-1]
+		k := m.cur[depth-1]
+		if k == len(last) {
+			return total
+		}
+		i := last[k].seq
+		for j := range depth {
+			layer := m.chain[j]
+			lo := m.cur[j]
+			for layer[lo].seq < i {
+				lo++
+			}
+			hi := lo
+			for hi < len(layer) && layer[hi].seq == i {
+				hi++
+			}
+			m.runs[j] = layer[lo:hi]
+			m.cur[j] = hi
+		}
+		total += m.seqFlow(m.runs)
 	}
-	return total
 }
 
-func (m *gapMiner) seqFlow(i int) int {
-	depth := len(m.pattern)
-	layers := make([][]int32, depth)
-	for j := 0; j < depth; j++ {
-		layers[j] = m.chain[j][i]
-		if len(layers[j]) == 0 {
-			return 0
-		}
+// seqFlow builds one sequence's occurrence DAG in the flow workspace and
+// returns its max flow. Node 0 is the source and 1 the sink; every end is
+// split into an in and an out node of unit capacity, so paths are
+// node-disjoint.
+func (m *gapMiner) seqFlow(layers [][]hit) int {
+	n := 2
+	for _, l := range layers {
+		n += 2 * len(l)
 	}
-	offset := make([]int, depth+1)
-	for j := 0; j < depth; j++ {
-		offset[j+1] = offset[j] + len(layers[j])
-	}
-	g := newFlow(2 + 2*offset[depth])
-	in := func(j, k int) int { return 2 + 2*(offset[j]+k) }
-	out := func(j, k int) int { return in(j, k) + 1 }
+	g := &m.g
+	g.reset(n)
+	base, nextBase := 2, 2+2*len(layers[0])
 	for k := range layers[0] {
-		g.edge(0, in(0, k))
+		g.edge(0, base+2*k)
 	}
-	for j := 0; j < depth; j++ {
-		for k, p := range layers[j] {
-			g.edge(in(j, k), out(j, k))
-			if j == depth-1 {
-				g.edge(out(j, k), 1)
+	for j, l := range layers {
+		last := j == len(layers)-1
+		lo := 0 // first end of layer j+1 not too close to the current end
+		for k, h := range l {
+			in := base + 2*k
+			g.edge(in, in+1)
+			if last {
+				g.edge(in+1, 1)
 				continue
 			}
-			for k2, q := range layers[j+1] {
-				gap := int(q) - int(p) - 1
-				if gap < m.opt.MinGap {
-					continue
-				}
-				if gap > m.opt.MaxGap {
-					break // layers are ascending; later q only larger
-				}
-				g.edge(out(j, k), in(j+1, k2))
+			nl := layers[j+1]
+			for lo < len(nl) && int(nl[lo].pos)-int(h.pos)-1 < m.opt.MinGap {
+				lo++
 			}
+			for k2 := lo; k2 < len(nl) && int(nl[k2].pos)-int(h.pos)-1 <= m.opt.MaxGap; k2++ {
+				g.edge(in+1, nextBase+2*k2)
+			}
+		}
+		if !last {
+			base, nextBase = nextBase, nextBase+2*len(layers[j+1])
 		}
 	}
 	return g.maxflow(0, 1)
@@ -341,82 +411,66 @@ func Support(db *seq.DB, pattern []seq.EventID, minGap, maxGap int) (int, error)
 		return 0, nil
 	}
 	m := &gapMiner{db: db, opt: opt, res: &Result{}}
-	// Build the chain of end lists prefix by prefix.
-	ends := make([][]int32, len(db.Seqs))
-	for i, s := range db.Seqs {
-		for p := 1; p <= len(s); p++ {
-			if s.At(p) == pattern[0] {
-				ends[i] = append(ends[i], int32(p))
-			}
+	// Build the chain prefix by prefix from the same node expansion Mine
+	// uses; at MinSupport 1 every event that occurs is a child.
+	for d, e := range pattern {
+		kids := m.expand(d)
+		k, ok := slices.BinarySearchFunc(kids, e, func(c child, e seq.EventID) int { return int(c.ev) - int(e) })
+		if !ok {
+			return 0, nil
 		}
-	}
-	m.pattern = pattern[:1]
-	m.chain = append(m.chain, ends)
-	for j := 1; j < len(pattern); j++ {
-		next, _ := m.extendEnds(m.chain[j-1], pattern[j])
-		m.chain = append(m.chain, next)
-		m.pattern = pattern[:j+1]
+		m.pattern = append(m.pattern, e)
+		m.chain = append(m.chain, m.arenas[d][kids[k].lo:kids[k].hi])
 	}
 	return m.support(), nil
 }
 
-func sortEventIDs(a []seq.EventID) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}
-
 // flow is a minimal unit-capacity max-flow (BFS augmenting paths), local to
-// this package so gapped does not depend on the test oracle in verify.
+// this package so gapped does not depend on the test oracle in verify. One
+// flow is a reusable workspace: reset clears it for a new graph without
+// freeing its storage.
 type flow struct {
-	head, next, to []int
+	head, next, to []int32
 	cap            []int8
+	prev, queue    []int32
 }
 
-func newFlow(n int) *flow {
-	h := make([]int, n)
-	for i := range h {
-		h[i] = -1
+// reset empties the graph and sizes it for n nodes.
+func (g *flow) reset(n int) {
+	g.head = slices.Grow(g.head[:0], n)[:n]
+	for i := range g.head {
+		g.head[i] = -1
 	}
-	return &flow{head: h}
+	g.next, g.to, g.cap = g.next[:0], g.to[:0], g.cap[:0]
 }
 
 func (g *flow) edge(u, v int) {
-	g.to = append(g.to, v)
-	g.cap = append(g.cap, 1)
-	g.next = append(g.next, g.head[u])
-	g.head[u] = len(g.to) - 1
-	g.to = append(g.to, u)
-	g.cap = append(g.cap, 0)
-	g.next = append(g.next, g.head[v])
-	g.head[v] = len(g.to) - 1
+	g.to = append(g.to, int32(v), int32(u))
+	g.cap = append(g.cap, 1, 0)
+	g.next = append(g.next, g.head[u], g.head[v])
+	g.head[u] = int32(len(g.to) - 2)
+	g.head[v] = int32(len(g.to) - 1)
 }
 
 func (g *flow) maxflow(s, t int) int {
 	total := 0
-	prev := make([]int, len(g.head))
+	g.prev = slices.Grow(g.prev[:0], len(g.head))[:len(g.head)]
+	prev := g.prev
 	for {
 		for i := range prev {
 			prev[i] = -1
 		}
 		prev[s] = -2
-		queue := []int{s}
+		queue := append(g.queue[:0], int32(s))
 		found := false
 	bfs:
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for qh := 0; qh < len(queue); qh++ {
+			u := queue[qh]
 			for e := g.head[u]; e != -1; e = g.next[e] {
 				v := g.to[e]
 				if g.cap[e] > 0 && prev[v] == -1 {
 					prev[v] = e
-					if v == t {
+					if int(v) == t {
 						found = true
 						break bfs
 					}
@@ -424,6 +478,7 @@ func (g *flow) maxflow(s, t int) int {
 				}
 			}
 		}
+		g.queue = queue
 		if !found {
 			return total
 		}
@@ -431,7 +486,7 @@ func (g *flow) maxflow(s, t int) int {
 			e := prev[v]
 			g.cap[e]--
 			g.cap[e^1]++
-			v = g.to[e^1]
+			v = int(g.to[e^1])
 		}
 		total++
 	}

@@ -1,6 +1,7 @@
 package gapped
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,6 +169,13 @@ func TestSupportValidation(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Errorf("empty pattern: %d, %v", got, err)
 	}
+	// Gap bounds far beyond any sequence must not overflow the windows.
+	if got, err := Support(db, mkPat(db, "AB"), math.MaxInt-1, math.MaxInt); err != nil || got != 0 {
+		t.Errorf("sup(AB | gap [MaxInt-1, MaxInt]) = %d, %v; want 0", got, err)
+	}
+	if got, err := Support(db, mkPat(db, "AB"), 0, math.MaxInt); err != nil || got != 1 {
+		t.Errorf("sup(AB | gap [0, MaxInt]) = %d, %v; want 1", got, err)
+	}
 }
 
 func TestMineValidation(t *testing.T) {
@@ -267,15 +275,60 @@ func TestPropertyUnboundedGapMatchesCore(t *testing.T) {
 	}
 }
 
-// TestMineComplete: the miner finds exactly the frequent gap-constrained
-// patterns (enumerated by brute force over the prefix-closed space).
+// brutePatterns enumerates the frequent gap-constrained patterns of db by
+// brute force over the prefix-closed space, in DFS preorder over ascending
+// event IDs — the order Mine emits them in.
+func brutePatterns(db *seq.DB, minSup, minGap, maxGap, maxLen int) []Pattern {
+	var out []Pattern
+	var pattern []seq.EventID
+	var rec func()
+	rec = func() {
+		for e := 0; e < db.Dict.Size(); e++ {
+			pattern = append(pattern, seq.EventID(e))
+			if sup := bruteGapSupport(db, pattern, minGap, maxGap); sup >= minSup {
+				out = append(out, Pattern{Events: append([]seq.EventID(nil), pattern...), Support: sup})
+				if len(pattern) < maxLen {
+					rec()
+				}
+			}
+			pattern = pattern[:len(pattern)-1]
+		}
+	}
+	rec()
+	return out
+}
+
+// samePatterns reports whether got equals want pattern by pattern, in order.
+func samePatterns(t *testing.T, db *seq.DB, got, want []Pattern) bool {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Logf("got %d patterns, want %d", len(got), len(want))
+		return false
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if db.PatternString(g.Events) != db.PatternString(w.Events) || g.Support != w.Support {
+			t.Logf("pattern %d: got %s:%d, want %s:%d", i,
+				db.PatternString(g.Events), g.Support, db.PatternString(w.Events), w.Support)
+			return false
+		}
+	}
+	return true
+}
+
+// TestMineComplete: the miner emits exactly the frequent gap-constrained
+// patterns, in the brute enumeration's order, for MinGap in {0,1,2} and
+// MaxGap up to the longest sequence; with MaxPatterns it emits the brute
+// enumeration's first MaxPatterns patterns and marks the run truncated.
 func TestMineComplete(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := seq.NewDB()
 		names := []string{"A", "B", "C"}
+		longest := 0
 		for i := 0; i < 1+r.Intn(3); i++ {
 			n := r.Intn(9)
+			longest = max(longest, n)
 			ev := make([]string, n)
 			for j := range ev {
 				ev[j] = names[r.Intn(3)]
@@ -283,54 +336,72 @@ func TestMineComplete(t *testing.T) {
 			db.Add("", ev)
 		}
 		minSup := 1 + r.Intn(2)
-		maxGap := r.Intn(3)
+		minGap := r.Intn(3)
+		maxGap := minGap + r.Intn(max(longest-minGap, 0)+1)
 		const maxLen = 4
-		res, err := Mine(db, Options{MinSupport: minSup, MaxGap: maxGap, MaxPatternLength: maxLen})
+		opt := Options{MinSupport: minSup, MinGap: minGap, MaxGap: maxGap, MaxPatternLength: maxLen}
+		want := brutePatterns(db, minSup, minGap, maxGap, maxLen)
+		res, err := Mine(db, opt)
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		got := map[string]int{}
-		for _, p := range res.Patterns {
-			got[db.PatternString(p.Events)] = p.Support
-		}
-		// Brute enumeration over the prefix-closed space.
-		want := map[string]int{}
-		var alpha []seq.EventID
-		for e := 0; e < db.Dict.Size(); e++ {
-			alpha = append(alpha, seq.EventID(e))
-		}
-		var pattern []seq.EventID
-		var rec func()
-		rec = func() {
-			for _, e := range alpha {
-				pattern = append(pattern, e)
-				sup := bruteGapSupport(db, pattern, 0, maxGap)
-				if sup >= minSup {
-					want[db.PatternString(pattern)] = sup
-					if len(pattern) < maxLen {
-						rec()
-					}
-				}
-				pattern = pattern[:len(pattern)-1]
-			}
-		}
-		rec()
-		if len(got) != len(want) {
-			t.Logf("seed %d: got %d patterns, want %d (got=%v want=%v)", seed, len(got), len(want), got, want)
+		if res.Truncated || !samePatterns(t, db, res.Patterns, want) {
+			t.Logf("seed %d, %+v: truncated=%v", seed, opt, res.Truncated)
 			return false
 		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Logf("seed %d: %s got %d want %d", seed, k, got[k], v)
-				return false
-			}
+		opt.MaxPatterns = 1 + r.Intn(6)
+		res, err = Mine(db, opt)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		truncated := len(want) >= opt.MaxPatterns
+		if truncated {
+			want = want[:opt.MaxPatterns]
+		}
+		if res.Truncated != truncated || !samePatterns(t, db, res.Patterns, want) {
+			t.Logf("seed %d, %+v: truncated=%v, want %v", seed, opt, res.Truncated, truncated)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(31))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMineSteadyStateAllocs: the node expansion and the max-flow reuse
+// their storage, so a repeat Mine allocates per emitted pattern (its event
+// slice and the result's growth) plus a constant for the miner's arenas.
+func TestMineSteadyStateAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	db := seq.NewDB()
+	names := []string{"A", "B", "C", "D", "E", "F"}
+	for i := 0; i < 40; i++ {
+		ev := make([]string, 30)
+		for j := range ev {
+			ev[j] = names[r.Intn(len(names))]
+		}
+		db.Add("", ev)
+	}
+	opt := Options{MinSupport: 20, MinGap: 1, MaxGap: 3}
+	res, err := Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FlowCalls == 0 || len(res.Patterns) < 50 {
+		t.Fatalf("workload too small: %d patterns, %d flows", len(res.Patterns), res.FlowCalls)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Mine(db, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(4*len(res.Patterns) + 100); allocs > limit {
+		t.Errorf("Mine allocates %.0f times for %d patterns, want <= %.0f", allocs, len(res.Patterns), limit)
+	}
+	t.Logf("%d patterns, %d flows, %.0f allocs", len(res.Patterns), res.FlowCalls, allocs)
 }
 
 func TestMineContiguous(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,17 +17,29 @@ import (
 	"repro/internal/wal"
 )
 
-// storeSource adapts a test's primary store to the feed's Source.
+// storeSource adapts a test's primary store to the feed's Source. Feed
+// goroutines read it while a test may replace the database, so the store
+// and its epoch are swapped together in one atomic step — the rule the
+// server's source follows by resolving one immutable entry per call.
 type storeSource struct {
+	dir string
+	cur atomic.Pointer[lineage]
+}
+
+// lineage is one primary store and the epoch it is served under.
+type lineage struct {
 	st    *store.Store
-	dir   string
 	epoch string
 }
 
+func (s *storeSource) set(st *store.Store, epoch string) {
+	s.cur.Store(&lineage{st: st, epoch: epoch})
+}
+
 func (s *storeSource) Dir() string        { return s.dir }
-func (s *storeSource) Generation() uint64 { return s.st.Current().Generation() }
-func (s *storeSource) Checkpoint() error  { return s.st.Checkpoint() }
-func (s *storeSource) Epoch() string      { return s.epoch }
+func (s *storeSource) Generation() uint64 { return s.cur.Load().st.Current().Generation() }
+func (s *storeSource) Checkpoint() error  { return s.cur.Load().st.Checkpoint() }
+func (s *storeSource) Epoch() string      { return s.cur.Load().epoch }
 
 // testPrimary is a minimal primary: a durable store plus an httptest
 // server exposing the replication feed.
@@ -42,7 +55,8 @@ func newTestPrimary(t *testing.T, dir string) *testPrimary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &storeSource{st: st, dir: dir, epoch: "epoch-1"}
+	src := &storeSource{dir: dir}
+	src.set(st, "epoch-1")
 	feed := &Feed{Src: src, Poll: time.Millisecond, Heartbeat: 20 * time.Millisecond}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/replication/db/segment", feed.ServeSegment)
@@ -198,8 +212,8 @@ func TestFollowerRebootstrapsOnEpochChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.st, p.src.st = st2, st2
-	p.src.epoch = "epoch-2"
+	p.st = st2
+	p.src.set(st2, "epoch-2")
 	t.Cleanup(func() { st2.Close() })
 	if _, err := st2.Append([]store.Record{{Label: "fresh", Events: []string{"q", "r"}}}, true); err != nil {
 		t.Fatal(err)

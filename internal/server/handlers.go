@@ -416,14 +416,49 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// landing mid-mine neither disturb the run nor poison the cache.
 	snap := e.db.Snapshot()
 	key := q.cacheKey(e.name, e.generation, snap.Generation())
-	if out, ok := s.cache.get(key); ok {
-		if stream {
-			s.streamOutcome(w, e, out, true)
-		} else {
-			writeJSON(w, http.StatusOK, buildResponse(e, out, true))
-		}
+	out, fl, lead := s.cache.lookup(key)
+	if out != nil {
+		s.replay(w, e, out, stream)
 		return
 	}
+
+	// The per-request deadline rides the client-cancellation context the
+	// miners already honor, so one cooperative-abort mechanism covers
+	// disconnects, shutdown, slow queries and waits alike.
+	ctx := r.Context()
+	if s.mineTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.mineTimeout)
+		defer cancel()
+	}
+
+	// An identical cold mine is running: wait for its result instead of
+	// mining the key again. Waiting holds no semaphore slot, and only this
+	// request's own ctx ends the wait.
+	if fl != nil && !lead {
+		select {
+		case <-fl.done:
+			if fl.out != nil {
+				s.replay(w, e, fl.out, stream)
+				return
+			}
+			fl = nil // the run was not shareable: mine alone
+		case <-ctx.Done():
+			s.writeAborted(w, ctx.Err())
+			return
+		}
+	}
+	// finish records this request's run with the cache exactly once,
+	// releasing the waiters of a flight it leads; the deferred call covers
+	// every path that ends without a result.
+	finished := false
+	finish := func(out *mineOutcome) {
+		if !finished {
+			finished = true
+			s.cache.complete(key, fl, out)
+		}
+	}
+	defer finish(nil)
 
 	// Admission control, applied after the cache check: replaying a
 	// cached result is O(result) and never queues behind the CPU, so only
@@ -440,18 +475,9 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The per-request deadline rides the client-cancellation context the
-	// miners already honor, so one cooperative-abort mechanism covers
-	// disconnects, shutdown, and slow queries alike.
-	ctx := r.Context()
-	if s.mineTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.mineTimeout)
-		defer cancel()
-	}
 
 	if stream {
-		s.mineStreaming(ctx, w, e, snap, &q, key)
+		s.mineStreaming(ctx, w, e, snap, &q, finish)
 		return
 	}
 	out, err := s.runMine(ctx, snap, &q, nil)
@@ -460,21 +486,35 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ctx.Err() != nil {
-		// The run was aborted via ctx. On a deadline the client is still
-		// listening — tell it the budget ran out; otherwise usually the
-		// client disconnected and this write goes nowhere, but on server
-		// shutdown it may still be listening — tell it the result is not
-		// coming rather than sending an empty 200.
-		setRetryHint(w, http.StatusServiceUnavailable)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, "mine timed out after %v", s.mineTimeout)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "mine aborted: %v", ctx.Err())
+		s.writeAborted(w, ctx.Err())
 		return
 	}
-	s.maybeCache(key, out)
+	finish(out)
 	writeJSON(w, http.StatusOK, buildResponse(e, out, false))
+}
+
+// replay serves a result this request did not mine — a cache hit or an
+// identical concurrent request's run — marked cached.
+func (s *Server) replay(w http.ResponseWriter, e *dbEntry, out *mineOutcome, stream bool) {
+	if stream {
+		s.streamOutcome(w, e, out)
+		return
+	}
+	writeJSON(w, http.StatusOK, buildResponse(e, out, true))
+}
+
+// writeAborted answers a request whose ctx ended before its result was
+// ready. On a deadline the client is still listening — tell it the budget
+// ran out; otherwise usually the client disconnected and this write goes
+// nowhere, but on server shutdown it may still be listening — tell it the
+// result is not coming rather than sending an empty 200.
+func (s *Server) writeAborted(w http.ResponseWriter, err error) {
+	setRetryHint(w, http.StatusServiceUnavailable)
+	if errors.Is(err, context.DeadlineExceeded) {
+		writeError(w, http.StatusServiceUnavailable, "mine timed out after %v", s.mineTimeout)
+		return
+	}
+	writeError(w, http.StatusServiceUnavailable, "mine aborted: %v", err)
 }
 
 // runMine executes the mining request against one pinned snapshot,
@@ -523,15 +563,6 @@ func (s *Server) runMine(ctx context.Context, snap *repro.Snapshot, q *mineReque
 	return &mineOutcome{algorithm: q.algorithm(), semantics: q.sem.String(), generation: snap.Generation(), workers: workers, result: res}, nil
 }
 
-// maybeCache stores complete results only: truncated runs (budget hit,
-// stream aborted, ctx cancelled) are both request-specific and
-// scheduling-dependent, so they must never be replayed to other clients.
-func (s *Server) maybeCache(key string, out *mineOutcome) {
-	if !out.result.Truncated {
-		s.cache.put(key, out)
-	}
-}
-
 func buildResponse(e *dbEntry, out *mineOutcome, cached bool) mineResponse {
 	resp := mineResponse{
 		mineSummary: buildSummary(e, out, cached),
@@ -578,9 +609,10 @@ const streamWriteBudget = 30 * time.Second
 
 // mineStreaming serves the NDJSON representation, emitting each pattern
 // the moment the miner finds it. The complete result still accumulates
-// in-memory so it can be cached for replay. ctx is the mining context
-// (request context, possibly bounded by the server's mine timeout).
-func (s *Server) mineStreaming(ctx context.Context, w http.ResponseWriter, e *dbEntry, snap *repro.Snapshot, q *mineRequest, key string) {
+// in-memory so it can be cached for replay; finish hands it to the cache.
+// ctx is the mining context (request context, possibly bounded by the
+// server's mine timeout).
+func (s *Server) mineStreaming(ctx context.Context, w http.ResponseWriter, e *dbEntry, snap *repro.Snapshot, q *mineRequest, finish func(*mineOutcome)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := w.(http.Flusher)
@@ -625,7 +657,7 @@ func (s *Server) mineStreaming(ctx context.Context, w http.ResponseWriter, e *db
 		}
 		return
 	}
-	s.maybeCache(key, out)
+	finish(out)
 	// Top-k has no streaming callback: replay its patterns now.
 	if q.TopK > 0 {
 		for i := range out.result.Patterns {
@@ -645,7 +677,7 @@ func (s *Server) mineStreaming(ctx context.Context, w http.ResponseWriter, e *db
 }
 
 // streamOutcome replays a cached result in NDJSON form.
-func (s *Server) streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutcome, cached bool) {
+func (s *Server) streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutcome) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -655,6 +687,6 @@ func (s *Server) streamOutcome(w http.ResponseWriter, e *dbEntry, out *mineOutco
 			return
 		}
 	}
-	sum := buildSummary(e, out, cached)
+	sum := buildSummary(e, out, true)
 	_ = enc.Encode(ndjsonLine{Summary: &sum})
 }

@@ -439,27 +439,40 @@ func TestDeleteThenReuploadDoesNotServeStaleCache(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	o := &mineOutcome{}
-	c.put("a", o)
-	c.put("b", o)
-	if _, ok := c.get("a"); !ok {
+	o := &mineOutcome{result: &repro.Result{}}
+	// put stores a result for key as the request that mined it would.
+	put := func(c *resultCache, key string) {
+		_, f, _ := c.lookup(key)
+		c.complete(key, f, o)
+	}
+	// has reports whether key is cached, without leaving a flight behind.
+	has := func(c *resultCache, key string) bool {
+		out, f, lead := c.lookup(key)
+		if lead {
+			c.complete(key, f, nil)
+		}
+		return out != nil
+	}
+	put(c, "a")
+	put(c, "b")
+	if !has(c, "a") {
 		t.Fatal("a evicted too early")
 	}
-	c.put("c", o) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
+	put(c, "c") // evicts b (a was just used)
+	if has(c, "b") {
 		t.Error("b not evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if !has(c, "a") {
 		t.Error("a evicted out of LRU order")
 	}
-	if _, ok := c.get("c"); !ok {
+	if !has(c, "c") {
 		t.Error("c missing")
 	}
 	var disabled *resultCache
-	if _, ok := disabled.get("a"); ok {
+	put(disabled, "a") // must not panic
+	if has(disabled, "a") {
 		t.Error("nil cache returned a hit")
 	}
-	disabled.put("a", o) // must not panic
 }
 
 // TestConcurrentMines exercises the acceptance criterion: concurrent mine

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Benchmark smoke run: the Fig2 min_sup sweep, the parallel-scaling sweeps
-# and the Table 1 semantics check, emitted as BENCH_PR<N>.json with
-# per-benchmark pattern counts, ns/op, B/op and allocs/op plus total wall
-# time. This is the repo's perf trajectory: each PR emits BENCH_PR<N>.json
-# from the same suite, and scripts/bench_compare.sh diffs two of them so
-# regressions show up as a per-benchmark delta table.
+# Benchmark smoke run: the Fig2 min_sup sweep, the parallel-scaling sweeps,
+# the Table 1 semantics check, the append/replication benches and the
+# gap-constrained miner (TCAS and the service's quest200 gapped shape),
+# emitted as BENCH_PR<N>.json with per-benchmark pattern counts, ns/op,
+# B/op and allocs/op plus total wall time. This is the repo's perf
+# trajectory: each PR emits BENCH_PR<N>.json from the same suite, and
+# scripts/bench_compare.sh diffs two of them so regressions show up as a
+# per-benchmark delta table.
 #
 # Each benchmark runs with -count=3 and the MEDIAN of each metric is
 # recorded, so a single noisy-scheduler outlier cannot trip the blocking
@@ -19,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_LOCAL.json}"
-SUITE='Fig2|Table1|TopKParallelScaling|DurableAppend|InMemoryAppend|ReplicaCatchup'
+SUITE='Fig2|Table1|TopKParallelScaling|DurableAppend|InMemoryAppend|ReplicaCatchup|GapConstrained'
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
