@@ -206,9 +206,18 @@
 // The mining core is allocation-free in steady state: support sets,
 // candidate lists and closure-check chains are recycled through
 // per-miner arenas, and refuted closure-check chains are memoized along
-// the DFS path. The paper's next(S, e, lowest) primitive is answered in
-// O(1) from per-sequence successor tables (FastNext) built lazily under
-// a memory budget; sequences whose table would not fit fall back to the
+// the DFS path. A node grows only the candidate events whose
+// per-sequence bound, the sum of min(instances, occurrences of the event)
+// over the sequences the pattern touches, reaches MinSupport, and size-1
+// seeds walk only the sequences that contain the event. On the Fig. 2
+// Quest workload this cuts instance growths from 149,298 to 2,441 (all
+// patterns, min_sup 10; 70 → 11 ms) and from 464,136 to 30,214 (closed,
+// min_sup 6; 288 → 168 ms) with unchanged output; closed mining is then
+// led by closure-check chain growths (395,033 at min_sup 6).
+//
+// The paper's next(S, e, lowest) primitive is answered in O(1) from
+// per-sequence successor tables (FastNext) built lazily under a memory
+// budget; sequences whose table would not fit fall back to the
 // O(log L) binary search individually. Options.DisableFastNext selects
 // binary search for a single run (identical output, lower memory) — see
 // the README's performance-tuning section for the measured trade-offs.

@@ -3,44 +3,77 @@ package core
 import "repro/internal/seq"
 
 // candidates returns, in ascending event-ID order, every event e that can
-// extend at least one instance of I: e occurs, in some sequence touched by
-// I, strictly after the earliest last-landmark of I's instances in that
-// sequence. (Within a sequence, I is sorted by last landmark, so the first
-// instance of the run has the earliest one; any event occurring after it
-// can extend at least that instance.)
+// extend at least one instance of I and whose support bound ub(e), below,
+// reaches MinSupport. Within a sequence run of I (sorted by last
+// landmark, so the run's first instance has the earliest one, firstLast),
+// e can extend some instance only if it occurs after firstLast — the
+// remark under Theorem 6: "we can maintain a list of possible events which
+// are much fewer than those in E". The same scan accumulates the support
+// bound
 //
-// This realizes the remark under Theorem 6: "we can maintain a list of
-// possible events which are much fewer than those in E". The test is one
-// comparison against the index's dense last-position array, so the whole
-// scan costs O(Σ distinct events per touched sequence) with no pointer
-// chasing. The returned slice comes from the miner's candidate-buffer pool
+//	ub(e) = Σ_i min(run_i, count_i(e))  over the runs with last_i(e) > firstLast_i
+//
+// and drops every event with ub(e) < MinSupport. The bound holds because
+// instance growth extends each of the run_i instances at most once, and
+// the grown instances end on pairwise distinct occurrences of e in Si.
+//
+// Both consumers of the list stay sound:
+//   - The DFS prune: a dropped e has len(insGrow(I, e)) <= ub(e) <
+//     MinSupport, so the candidate loop would have discarded its growth
+//     (and in closed mode it cannot be an equal-support append extension,
+//     which needs len(I2) = len(I) >= MinSupport).
+//   - Insertion-candidate reuse (insertionCandidates reads this list off
+//     candStack): for a closure check at support s >= MinSupport, a
+//     dropped e' at gap g has a first chain step insGrow(chain[g-1], e')
+//     of size <= ub(e') < MinSupport <= s, so checkNonAppend would have
+//     refuted that chain anyway.
+//
+// At MinSupport 1 (top-k) every event that passes the position test has
+// ub >= 1, so the bound is skipped and only the position test runs. The
+// scan costs O(Σ distinct events per touched sequence) over flat index
+// arrays. The returned slice comes from the miner's candidate-buffer pool
 // (the DFS holds it across recursive calls, then recycles it with
-// putCands); the seen-bitmap scratch is shared and reset before returning.
+// putCands); the ub accumulator is shared scratch, 0 meaning unseen, and
+// is zeroed before returning.
 func (m *miner) candidates(I Set) []seq.EventID {
 	out := m.getCands()
+	ub := m.ub
+	bounded := m.opt.MinSupport > 1
 	start := 0
 	for start < len(I) {
 		si := I[start].Seq
 		firstLast := I[start].Last
-		end := start
+		end := start + 1
 		for end < len(I) && I[end].Seq == si {
 			end++
 		}
-		events, last := m.ix.EventsLast(int(si))
+		run := int32(end - start)
+		events, last, count := m.ix.EventStats(int(si))
 		for k, e := range events {
-			if m.seen[e] {
+			if last[k] <= firstLast {
 				continue
 			}
-			if last[k] > firstLast {
-				m.seen[e] = true
+			if ub[e] == 0 {
 				out = append(out, e)
+			}
+			if bounded {
+				ub[e] += min(run, count[k])
+			} else {
+				ub[e] = 1
 			}
 		}
 		start = end
 	}
+	minSup := int32(m.opt.MinSupport)
+	n := 0
 	for _, e := range out {
-		m.seen[e] = false
+		if ub[e] >= minSup {
+			out[n] = e
+			n++
+		}
+		ub[e] = 0
 	}
+	out = out[:n]
 	sortEventIDs(out)
 	return out
 }
@@ -80,7 +113,7 @@ func (m *miner) eligibleEvents(seqs, perSeq []int32) []seq.EventID {
 		m.eligBuf = out
 		return out
 	}
-	events, count0 := m.ix.EventsCount(int(seqs[0]))
+	events, _, count0 := m.ix.EventStats(int(seqs[0]))
 	for k, e := range events {
 		if count0[k] < perSeq[0] {
 			continue
@@ -103,11 +136,13 @@ func (m *miner) eligibleEvents(seqs, perSeq []int32) []seq.EventID {
 // insertionCandidates returns candidate events e' for the insertion
 // extension P' = e1..eg e' e{g+1}..em (1 <= g <= m-1): the eligible events
 // (per-sequence occurrence filter, see eligibleEvents) that can also
-// extend at least one instance of the prefix support set chain[g-1] —
-// exactly the candidate list the DFS computed when it grew from that
-// prefix, cached on candStack. Both inputs are sorted ascending, so the
-// intersection is one merge into the miner's gap-candidate scratch buffer
-// (consumed before the next gap's call overwrites it).
+// extend an instance of the prefix support set chain[g-1] with a support
+// bound of at least MinSupport — exactly the candidate list the DFS
+// computed when it grew from that prefix, cached on candStack (see
+// candidates for why its bound never drops an equal-support chain). Both
+// inputs are sorted ascending, so the intersection is one merge into the
+// miner's gap-candidate scratch buffer (consumed before the next gap's
+// call overwrites it).
 func (m *miner) insertionCandidates(g int, elig []seq.EventID) []seq.EventID {
 	cands := m.candStack[g-1]
 	out := m.gapCandBuf[:0]

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/seq"
 )
 
@@ -81,6 +84,136 @@ func TestCandidatesSound(t *testing.T) {
 				t.Errorf("pattern %s: event %s extends an instance but is not a candidate",
 					pattern, db.Dict.Name(e))
 			}
+		}
+		checkCandidateBound(t, "table3/"+pattern, m, I)
+	}
+
+	// Random databases and patterns: the bound must hold on shapes the
+	// fixture does not cover (empty sequences, long runs, absent events).
+	r := rand.New(rand.NewSource(14))
+	names := []string{"A", "B", "C", "D", "E"}
+	for trial := 0; trial < 300; trial++ {
+		db := seq.NewDB()
+		alpha := 2 + r.Intn(4)
+		for i, n := 0, 1+r.Intn(5); i < n; i++ {
+			ev := make([]string, r.Intn(21))
+			for j := range ev {
+				ev[j] = names[r.Intn(alpha)]
+			}
+			db.Add("", ev)
+		}
+		if db.Dict.Size() == 0 {
+			continue
+		}
+		ix := seq.NewIndexWith(db, seq.IndexOptions{FastNext: trial%2 == 0})
+		m := newMiner(ix, Options{MinSupport: 1})
+		p := []seq.EventID{seq.EventID(r.Intn(db.Dict.Size()))}
+		I := singletonSet(ix, p[0])
+		for len(I) > 0 {
+			checkCandidateBound(t, fmt.Sprintf("trial %d %s", trial, db.PatternString(p)), m, I)
+			if len(p) == 4 {
+				break
+			}
+			e := seq.EventID(r.Intn(db.Dict.Size()))
+			p = append(p, e)
+			I = insGrow(ix, I, e)
+		}
+	}
+}
+
+// candidateBound is the reference form of the support bound candidates
+// filters on: over the sequence runs of I whose first instance ends before
+// e's last occurrence, the sum of min(run length, occurrences of e).
+func candidateBound(ix *seq.Index, I Set, e seq.EventID) int {
+	ub := 0
+	for start := 0; start < len(I); {
+		si := int(I[start].Seq)
+		end := start
+		for end < len(I) && int(I[end].Seq) == si {
+			end++
+		}
+		if ix.LastPos(si, e) > I[start].Last {
+			ub += min(end-start, ix.Count(si, e))
+		}
+		start = end
+	}
+	return ub
+}
+
+// checkCandidateBound asserts, at MinSupport 1 through 4, that candidates
+// keeps exactly the events whose bound reaches MinSupport, in ascending
+// order; that every event whose growth reaches MinSupport is kept; that
+// the bound never undercounts an actual growth; and that the accumulator
+// is left zeroed.
+func checkCandidateBound(t *testing.T, label string, m *miner, I Set) {
+	t.Helper()
+	db := m.ix.DB()
+	defer func(ms int) { m.opt.MinSupport = ms }(m.opt.MinSupport)
+	for ms := 1; ms <= 4; ms++ {
+		m.opt.MinSupport = ms
+		got := m.candidates(I)
+		kept := map[seq.EventID]bool{}
+		for k, e := range got {
+			if k > 0 && got[k-1] >= e {
+				t.Errorf("%s minsup=%d: candidates not strictly ascending: %v", label, ms, got)
+			}
+			kept[e] = true
+		}
+		m.putCands(got)
+		for e := seq.EventID(0); int(e) < db.Dict.Size(); e++ {
+			grown := len(insGrow(m.ix, I, e))
+			ub := candidateBound(m.ix, I, e)
+			if grown >= ms && !kept[e] {
+				t.Errorf("%s minsup=%d: %s grows to %d instances but was dropped",
+					label, ms, db.Dict.Name(e), grown)
+			}
+			if kept[e] && ub < grown {
+				t.Errorf("%s minsup=%d: kept %s has bound %d below its growth %d",
+					label, ms, db.Dict.Name(e), ub, grown)
+			}
+			if kept[e] != (ub >= ms) {
+				t.Errorf("%s minsup=%d: %s kept=%v with bound %d",
+					label, ms, db.Dict.Name(e), kept[e], ub)
+			}
+		}
+		for e, v := range m.ub {
+			if v != 0 {
+				t.Fatalf("%s minsup=%d: ub[%d] = %d left behind", label, ms, e, v)
+			}
+		}
+	}
+}
+
+// TestCandidateBoundQuestCounters pins the support-bounded filter on the
+// Fig2 workload (Quest D1C20N1S20): the pattern count and the DFS node
+// count are those of the unfiltered search, while instance growths drop
+// from 149,298 (one per position-test candidate) to fewer than one per
+// visited node.
+func TestCandidateBoundQuestCounters(t *testing.T) {
+	db, err := datagen.Quest(datagen.QuestParams{D: 1, C: 20, N: 1, S: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := seq.NewIndexWith(db, seq.IndexOptions{FastNext: true})
+	for _, tc := range []struct {
+		closed          bool
+		patterns, nodes int
+	}{
+		{closed: false, patterns: 2717, nodes: 2717},
+		{closed: true, patterns: 2185, nodes: 2620},
+	} {
+		res, err := Mine(ix, Options{MinSupport: 10, Closed: tc.closed, DiscardPatterns: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if res.NumPatterns != tc.patterns || st.NodesVisited != tc.nodes {
+			t.Errorf("closed=%v: %d patterns over %d nodes, want %d over %d",
+				tc.closed, res.NumPatterns, st.NodesVisited, tc.patterns, tc.nodes)
+		}
+		if st.INSgrowCalls > st.NodesVisited {
+			t.Errorf("closed=%v: %d INSgrow calls for %d nodes, want at most one per node",
+				tc.closed, st.INSgrowCalls, st.NodesVisited)
 		}
 	}
 }

@@ -155,8 +155,8 @@ func (m *miner) memoRevert(mark int) {
 // place e' at pairwise distinct positions — e' must occur at least
 // sup_i(P) times in every sequence touched by I. For insertion gaps the
 // list is additionally intersected with the candidate events cached when
-// the DFS grew from that prefix (e' must extend some instance of
-// chain[g-1] for the chain's first step to survive).
+// the DFS grew from that prefix (the chain's first step must grow at
+// least s >= MinSupport instances from chain[g-1]; see candidates).
 //
 // For each candidate e', the leftmost support set of P' is obtained by
 // instance growth starting from the prefix support set chain[g-1] (or the

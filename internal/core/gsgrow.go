@@ -44,7 +44,7 @@ type miner struct {
 	// pay one append/truncate per node for it.
 	frames []wsFrame
 
-	seen []bool // scratch for candidates()
+	ub []int32 // candidates() support-bound accumulator, all zero between calls
 	// scratchA/scratchB are the ping-pong buffers of closure-check chain
 	// growth (see checkNonAppend). Only their capacity is meaningful
 	// between uses: checkNonAppend stores them back as returned by the
@@ -153,7 +153,7 @@ func newMinerWithSeeds(ix *seq.Index, opt Options, seeds []seq.EventID) *miner {
 		ix:         ix,
 		opt:        opt,
 		freqEvents: seeds,
-		seen:       make([]bool, numEvents),
+		ub:         make([]int32, numEvents),
 		numEvents:  numEvents,
 		pattern:    make([]seq.EventID, 0, depthHint),
 		path:       pathBuf[0:0:depthHint],

@@ -17,7 +17,12 @@ import (
 //   - Grow/Singleton produce the DFS driver state. The kernel prunes any
 //     branch whose grown set has fewer than MinSupport instances, so the
 //     set size must be an upper bound on Support (for the built-ins it is:
-//     leftmost sets are maximum non-overlapping sets).
+//     leftmost sets are maximum non-overlapping sets). Candidate events
+//     are filtered by a per-sequence bound before any Grow call (see
+//     candidates), so Grow must extend each instance of I at most once
+//     and end the grown instances of a sequence on pairwise distinct
+//     occurrences of e after that sequence's first instance of I — as
+//     leftmost instance growth does.
 //   - Support must be anti-monotone under append extensions: appending an
 //     event can never raise it. The kernel prunes the whole subtree of a
 //     node whose Support falls below MinSupport.

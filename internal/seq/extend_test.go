@@ -3,6 +3,7 @@ package seq
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -22,13 +23,34 @@ func randomDB(r *rand.Rand, n, maxLen int) *DB {
 }
 
 // indexesEqual asserts ix answers every primitive identically to want over
-// db's contents.
+// db's contents, and that got's per-event sequence lists are exactly the
+// sequences whose contents hold each event.
 func indexesEqual(t *testing.T, db *DB, want, got *Index) {
 	t.Helper()
 	nEvents := EventID(db.Dict.Size())
 	for e := EventID(0); e < nEvents; e++ {
 		if w, g := want.SingletonSupport(e), got.SingletonSupport(e); w != g {
 			t.Fatalf("SingletonSupport(%d): want %d, got %d", e, w, g)
+		}
+		var brute []int32
+		for i, s := range db.Seqs {
+			for _, x := range s {
+				if x == e {
+					brute = append(brute, int32(i))
+					break
+				}
+			}
+		}
+		if w, g := fmt.Sprint(want.SequencesWith(e)), fmt.Sprint(got.SequencesWith(e)); w != g || g != fmt.Sprint(brute) {
+			t.Fatalf("SequencesWith(%d): fresh %s, got %s, contents %v", e, w, g, brute)
+		}
+	}
+	if g := got.SequencesWith(nEvents); len(g) != 0 {
+		t.Fatalf("SequencesWith(unknown event) = %v, want empty", g)
+	}
+	for i := range db.Seqs {
+		if w, g := fmt.Sprint(want.EventStats(i)), fmt.Sprint(got.EventStats(i)); w != g {
+			t.Fatalf("EventStats(%d): fresh %s, got %s", i, w, g)
 		}
 	}
 	for i := range db.Seqs {
@@ -81,24 +103,42 @@ func TestExtendAppendSequencesMatchesFreshBuild(t *testing.T) {
 
 func TestExtendChangedSequenceMatchesFreshBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		db := randomDB(r, 5, 15)
+	for trial := 0; trial < 40; trial++ {
+		db := randomDB(r, 6, 15)
 		base := NewIndexWith(db, IndexOptions{FastNext: trial%2 == 0})
 
 		grown := db.Extend()
-		// Copy-on-write append of events to one existing sequence.
-		i := r.Intn(len(db.Seqs))
-		old := grown.Seqs[i]
-		repl := make(Sequence, len(old), len(old)+3)
-		copy(repl, old)
-		repl = append(repl, grown.Dict.Intern("b"), grown.Dict.Intern("x"), grown.Dict.Intern("a"))
-		grown.Seqs = append(grown.Seqs[:i:i], grown.Seqs[i:]...) // force a fresh backing array
-		grown.Seqs[i] = repl
+		grown.Seqs = append([]Sequence(nil), grown.Seqs...) // force a fresh backing array
+		// One to three changed sequences, ascending, each either growing
+		// copy-on-write (it keeps its events and may gain "x") or replaced
+		// wholesale by an upsert (it loses every event it had and gains
+		// "y").
+		var changed []int
+		for i := range db.Seqs {
+			if r.Intn(3) == 0 || (len(changed) == 0 && i == len(db.Seqs)-1) {
+				changed = append(changed, i)
+			}
+			if len(changed) == 3 {
+				break
+			}
+		}
+		for _, i := range changed {
+			old := grown.Seqs[i]
+			if r.Intn(2) == 0 {
+				repl := make(Sequence, len(old), len(old)+3)
+				copy(repl, old)
+				grown.Seqs[i] = append(repl, grown.Dict.Intern("b"), grown.Dict.Intern("x"), grown.Dict.Intern("a"))
+			} else {
+				grown.Seqs[i] = Sequence{grown.Dict.Intern("y"), grown.Dict.Intern("y")}
+			}
+		}
 		grown.Add("", []string{"x", "b"})
 
-		got := base.Extend(grown, []int{i})
+		got := base.Extend(grown, changed)
 		want := NewIndexWith(grown, IndexOptions{FastNext: base.Options().FastNext})
 		indexesEqual(t, grown, want, got)
+		// The base index keeps answering for its own generation.
+		indexesEqual(t, db, NewIndexWith(db, base.Options()), base)
 	}
 }
 
@@ -192,5 +232,44 @@ func TestExtendChangedReleasesBudget(t *testing.T) {
 	}
 	if got.FastNextBytes() != 88 {
 		t.Fatalf("FastNextBytes = %d, want 88", got.FastNextBytes())
+	}
+}
+
+// TestSequencesWithConcurrentFirstUse: parallel miners share one index and
+// may all ask for the per-event sequence lists before anyone has, so the
+// lazy build must happen once and every caller must see the finished
+// lists, on a fresh index and on an extended one. Run under -race.
+func TestSequencesWithConcurrentFirstUse(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	db := randomDB(r, 40, 20)
+	grown := db.Extend()
+	grown.Add("", []string{"a", "z"})
+	for _, tc := range []struct {
+		db *DB
+		ix *Index
+	}{
+		{db, NewIndex(db)},
+		{grown, NewIndex(db).Extend(grown, nil)},
+	} {
+		want := NewIndex(tc.db)
+		var wg sync.WaitGroup
+		got := make([][]string, 8)
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for e := EventID(0); int(e) < tc.db.Dict.Size(); e++ {
+					got[w] = append(got[w], fmt.Sprint(tc.ix.SequencesWith(e)))
+				}
+			}()
+		}
+		wg.Wait()
+		for w := range got {
+			for e, g := range got[w] {
+				if wl := fmt.Sprint(want.SequencesWith(EventID(e))); g != wl {
+					t.Fatalf("worker %d: SequencesWith(%d) = %s, want %s", w, e, g, wl)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package seq
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // IndexOptions tunes index construction.
 type IndexOptions struct {
@@ -27,7 +30,7 @@ type IndexOptions struct {
 const DefaultFastNextMemBudget int64 = 256 << 20
 
 // seqTab holds every per-sequence table of the index in one struct, so the
-// hot lookups (Next, NextColumn, EventsLast, Count) touch a single
+// hot lookups (Next, NextColumn, EventStats, Count) touch a single
 // contiguous header instead of chasing parallel slice-of-slices.
 type seqTab struct {
 	// events lists the distinct events of the sequence in ascending
@@ -55,15 +58,24 @@ type seqTab struct {
 // l > lowest with S[l] = e — by binary search in O(log L) time or, with
 // IndexOptions.FastNext, by one load from a precomputed successor table in
 // O(1). It also exposes the per-sequence distinct-event lists (with dense
-// last-position arrays) used to build the candidate event lists that keep
-// GSgrow's branching factor below |E|.
+// last-position and count arrays) used to build the candidate event lists
+// that keep GSgrow's branching factor below |E|, and the per-event lists
+// of sequences containing each event, which seed size-1 support sets
+// without touching the sequences that lack the event.
 type Index struct {
 	db   *DB
 	seqs []seqTab
 	// total[e] is the total number of occurrences of e across the
 	// database, i.e. the repetitive support of the singleton pattern e.
-	total     []int
-	succBytes int64
+	total []int
+	// seqOff and seqIDs list, CSR-style, the sequences containing each
+	// event: seqIDs[seqOff[e]:seqOff[e+1]] are the ascending indices of
+	// the sequences in which e occurs. They are built on first use (see
+	// SequencesWith), so a generation that is never mined — an append
+	// burst on a database nobody queries — never pays for them.
+	seqsOnce       sync.Once
+	seqOff, seqIDs []int32
+	succBytes      int64
 	// opt records the build options so Extend reproduces the same
 	// FastNext/budget policy across generations.
 	opt IndexOptions
@@ -126,8 +138,9 @@ func (ix *Index) buildSeqTab(t *seqTab, s Sequence, nEvents int) {
 		k := slot[e]
 		lists[k] = append(lists[k], int32(pos+1))
 	}
-	last := make([]int32, len(evs))
-	count := make([]int32, len(evs))
+	// last and count share one allocation.
+	lastCount := make([]int32, 2*len(evs))
+	last, count := lastCount[:len(evs):len(evs)], lastCount[len(evs):]
 	for k, list := range lists {
 		last[k] = list[len(list)-1]
 		count[k] = int32(len(list))
@@ -315,23 +328,61 @@ func (ix *Index) Positions(i int, e EventID) []int32 {
 // The returned slice is shared with the index and must not be modified.
 func (ix *Index) Events(i int) []EventID { return ix.seqs[i].events }
 
-// EventsLast returns the distinct events of sequence i alongside the dense
-// array of their last positions (parallel slices): last[k] is the largest
-// position of events[k] in Si. Candidate-event generation iterates the two
-// flat arrays instead of doing a slot lookup plus a position-list
-// dereference per event. Both slices are shared with the index and must
-// not be modified.
-func (ix *Index) EventsLast(i int) (events []EventID, last []int32) {
+// EventStats returns the distinct events of sequence i alongside the dense
+// arrays of their last positions and occurrence counts (parallel slices):
+// last[k] is the largest position and count[k] the number of occurrences
+// of events[k] in Si. Candidate-event generation and closure-check
+// eligibility iterate these flat arrays instead of doing a slot lookup per
+// event. All three slices are shared with the index and must not be
+// modified.
+func (ix *Index) EventStats(i int) (events []EventID, last, count []int32) {
 	t := &ix.seqs[i]
-	return t.events, t.last
+	return t.events, t.last, t.count
 }
 
-// EventsCount returns the distinct events of sequence i alongside the
-// dense array of their occurrence counts (parallel slices). Shared with
-// the index; must not be modified.
-func (ix *Index) EventsCount(i int) (events []EventID, count []int32) {
-	t := &ix.seqs[i]
-	return t.events, t.count
+// SequencesWith returns the ascending indices of the sequences in which e
+// occurs (empty for an event unknown to the index). The lists of all
+// events are built together on the first call, from the per-sequence
+// distinct-event lists; concurrent callers wait for that one build. The
+// returned slice is shared with the index and must not be modified.
+func (ix *Index) SequencesWith(e EventID) []int32 {
+	ix.seqsOnce.Do(ix.buildEventSeqs)
+	if int(e)+1 >= len(ix.seqOff) {
+		return nil
+	}
+	return ix.seqIDs[ix.seqOff[e]:ix.seqOff[e+1]]
+}
+
+// buildEventSeqs builds the per-event sequence lists in one allocation:
+// offsets are counted per event, turned into end offsets, then filled back
+// to front so each event's range comes out ascending. O(E + Σ distinct
+// events per sequence); sequence contents are never read.
+func (ix *Index) buildEventSeqs() {
+	nEvents := len(ix.total)
+	m := 0
+	for i := range ix.seqs {
+		m += len(ix.seqs[i].events)
+	}
+	slab := make([]int32, nEvents+1+m)
+	off, ids := slab[:nEvents+1:nEvents+1], slab[nEvents+1:]
+	for i := range ix.seqs {
+		for _, e := range ix.seqs[i].events {
+			off[e]++
+		}
+	}
+	for e := 1; e < nEvents; e++ {
+		off[e] += off[e-1]
+	}
+	if nEvents > 0 {
+		off[nEvents] = off[nEvents-1]
+	}
+	for i := len(ix.seqs) - 1; i >= 0; i-- {
+		for _, e := range ix.seqs[i].events {
+			off[e]--
+			ids[off[e]] = int32(i)
+		}
+	}
+	ix.seqOff, ix.seqIDs = off, ids
 }
 
 // LastPos returns the last (largest) 1-based position of e in sequence i,

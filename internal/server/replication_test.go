@@ -30,6 +30,28 @@ func newPrimaryServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// killServer stops ts the way a crashed process would. Close shuts the
+// listener first, so a follower retrying at millisecond backoff cannot
+// open a new stream, but then waits for in-flight requests, and a live
+// WAL stream never ends on its own: its connection is dropped until Close
+// returns. A single CloseClientConnections before Close would miss a
+// stream reopened in between, and Close would then block forever.
+func killServer(ts *httptest.Server) {
+	done := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(done)
+	}()
+	for {
+		ts.CloseClientConnections()
+		select {
+		case <-done:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // newFollowerServer starts a follower-mode server replicating from
 // upstream, with millisecond cadences so tests converge fast.
 func newFollowerServer(t *testing.T, upstream string, cfg Config) (*Server, *httptest.Server) {
@@ -310,8 +332,7 @@ func TestReplicationLagGate(t *testing.T) {
 
 	// Kill the primary; contact stops; the gate must flip within a few
 	// heartbeat intervals.
-	pts.CloseClientConnections()
-	pts.Close()
+	killServer(pts)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		code, body = httpJSON(t, "GET", fts.URL+"/readyz", "")
