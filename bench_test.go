@@ -9,6 +9,7 @@ package repro
 // design choices DESIGN.md calls out.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -155,7 +156,7 @@ func BenchmarkTopKParallelScaling(b *testing.B) {
 				b.ReportAllocs()
 				var patterns int
 				for i := 0; i < b.N; i++ {
-					res, err := core.MineTopKParallel(nil, ix, k, true, 0, workers)
+					res, err := core.MineTopKParallel(context.Background(), ix, k, true, 0, workers)
 					if err != nil {
 						b.Fatal(err)
 					}

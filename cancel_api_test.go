@@ -97,14 +97,14 @@ func TestOptionsOnPatternStop(t *testing.T) {
 	}
 }
 
-// TestMineTopKContextCancelled covers the public top-k cancellation path.
-func TestMineTopKContextCancelled(t *testing.T) {
+// TestMineTopKWithCancelled covers the public top-k cancellation path.
+func TestMineTopKWithCancelled(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "AABCDABB")
 	db.AddString("S2", "ABCD")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := db.MineTopKContext(ctx, 5, true, 0)
+	res, err := db.MineTopKWith(5, true, TopKOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMineTopKContextCancelled(t *testing.T) {
 	}
 
 	// A nil context is tolerated, matching Options.Ctx semantics.
-	resNil, err := db.MineTopKContext(nil, 2, true, 0) //nolint:staticcheck // nil ctx is the case under test
+	resNil, err := db.MineTopKWith(2, true, TopKOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@
 //   - SemanticsRepetitive (the zero value): the paper's repetitive
 //     support, the maximum number of pairwise non-overlapping instances
 //     across and within sequences. The only mode with a closure theory
-//     (MineClosed) and a best-first top-k search (MineTopK*).
+//     (MineClosed) and a best-first top-k search (MineTopKWith).
 //   - SemanticsNonOverlapping: disjoint-window support — each counted
 //     occurrence's whole window must end before the next begins. Greedy
 //     earliest-end matching is provably optimal here (interval
@@ -53,13 +53,10 @@
 //   - SemanticsGapped: gap-constrained mining — Options.MinGap and
 //     Options.MaxGap bound the gap between consecutive pattern events,
 //     and per-sequence support is a max-flow computation. Sequential
-//     only, no instance collection, no closed mode. The old
-//     MineGapConstrained/GapOptions surface remains as a deprecated
-//     wrapper over this mode.
+//     only, no instance collection, no closed mode.
 //
-// Invalid combinations (closed × nonoverlap, top-k × anything
-// non-repetitive, gap bounds without SemanticsGapped, δ outside [0,1),
-// …) fail fast with errors that satisfy errors.Is against the package's
+// Invalid combinations (closed × nonoverlap, gap bounds without
+// SemanticsGapped, δ outside [0,1), …) fail fast with errors that satisfy errors.Is against the package's
 // sentinel taxonomy: ErrUnknownSemantics, ErrInvalidOptions,
 // ErrUnknownDatabase, ErrUnknownFormat, ErrStorage. ParseSemantics maps
 // the canonical wire/CLI strings to the enum.
@@ -218,9 +215,8 @@
 // The paper's next(S, e, lowest) primitive is answered in O(1) from
 // per-sequence successor tables (FastNext) built lazily under a memory
 // budget; sequences whose table would not fit fall back to the
-// O(log L) binary search individually. Options.DisableFastNext selects
-// binary search for a single run (identical output, lower memory) — see
-// the README's performance-tuning section for the measured trade-offs.
+// O(log L) binary search individually, with identical output — see the
+// README's performance-tuning section for the measured trade-offs.
 //
 // # Parallel mining
 //

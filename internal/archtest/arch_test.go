@@ -31,6 +31,10 @@ import (
 //	internal/repl   storage stack only     (replication transport; must
 //	                                        not reach the mining layers
 //	                                        or the server above it)
+//	internal/server repro + repl + vfs     (HTTP service; mines only
+//	                                        through the root package's
+//	                                        entry points, never the
+//	                                        kernel, store or index)
 var archRules = []struct {
 	dir     string
 	allowed map[string]bool // non-stdlib import path -> permitted
@@ -55,6 +59,11 @@ var archRules = []struct {
 		"repro/internal/store": true,
 		"repro/internal/vfs":   true,
 		"repro/internal/wal":   true,
+	}},
+	{dir: "../server", allowed: map[string]bool{
+		"repro":               true,
+		"repro/internal/repl": true,
+		"repro/internal/vfs":  true,
 	}},
 }
 

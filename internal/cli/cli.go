@@ -46,7 +46,6 @@ type MineConfig struct {
 	Top         int     // print only the first N patterns, 0 = all
 	TopK        int     // mine the K highest-support patterns instead of using MinSup
 	Workers     int     // parallel mining fan-out, <= 1 sequential
-	NoFastNext  bool    // use the binary-search next() index (paper's O(log L) formulation)
 
 	Semantics     string  // occurrence semantics: repetitive, nonoverlap, compressed, gapped
 	MinGap        int     // gapped semantics: minimum gap between consecutive events
@@ -86,6 +85,14 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 	if cfg.TopK > 0 && sem != repro.SemanticsRepetitive {
 		return fmt.Errorf("-topk supports only repetitive semantics")
 	}
+	// Top-k mode has no instance collection and k already is the pattern
+	// budget; silently ignoring these would misreport what ran.
+	if cfg.TopK > 0 && cfg.Instances {
+		return fmt.Errorf("-instances is not supported in top-k mode")
+	}
+	if cfg.TopK > 0 && cfg.MaxPatterns > 0 {
+		return fmt.Errorf("-maxpatterns conflicts with -topk (k already bounds the result)")
+	}
 	if cfg.Closed && (sem == repro.SemanticsNonOverlapping || sem == repro.SemanticsGapped) {
 		return fmt.Errorf("-closed is not supported with %s semantics", sem)
 	}
@@ -105,7 +112,7 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 		_, err := io.WriteString(out, seq.ComputeStats(db).Table())
 		return err
 	}
-	ix := seq.NewIndexWith(db, seq.IndexOptions{FastNext: !cfg.NoFastNext})
+	ix := seq.NewIndexWith(db, seq.IndexOptions{FastNext: true})
 
 	if cfg.Support != "" {
 		return reportSupport(cfg, db, ix, out)
@@ -130,10 +137,8 @@ func Mine(cfg MineConfig, in io.Reader, out io.Writer) error {
 	case cfg.TopK > 0:
 		res, err2 = core.MineTopKParallel(context.Background(), ix, cfg.TopK, cfg.Closed, cfg.MaxLen, cfg.Workers)
 		algo = "TopK"
-	case cfg.Workers > 1:
-		res, err2 = core.MineParallel(ix, opt, cfg.Workers)
 	default:
-		res, err2 = core.Mine(ix, opt)
+		res, err2 = core.MineParallel(ix, opt, cfg.Workers)
 	}
 	if err2 != nil {
 		return err2

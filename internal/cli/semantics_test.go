@@ -65,6 +65,8 @@ func TestMineSemanticsValidation(t *testing.T) {
 		{Format: "chars", MinSup: 2, MaxGap: 1},                                 // gaps without gapped
 		{Format: "chars", MinSup: 2, CompressDelta: 0.2},                        // delta without compressed
 		{Format: "chars", TopK: 3, Semantics: "nonoverlap"},                     // topk is repetitive-only
+		{Format: "chars", TopK: 3, Instances: true},                             // topk has no instance sets
+		{Format: "chars", TopK: 3, MaxPatterns: 1},                              // k already bounds the result
 		{Format: "chars", MinSup: 2, Semantics: "nonoverlap", Closed: true},     // no closure theory
 		{Format: "chars", MinSup: 2, Semantics: "gapped", Closed: true},         //
 		{Format: "chars", MinSup: 2, Semantics: "gapped", Instances: true},      // no instance sets

@@ -12,17 +12,11 @@ import (
 	"repro/internal/seq"
 )
 
-// MineTopK returns the k highest-support (closed) patterns without a
-// support threshold, by best-first search over the pattern-growth tree:
-// since support never increases along a growth edge (Apriori), popping
-// nodes in descending support order emits patterns in non-increasing
-// support order, so the first k (closed) pops are a valid top-k set. Ties
-// are broken lexicographically for determinism. maxLen (0 = unbounded)
-// bounds pattern length.
-//
-// Intended for exploratory use: without a threshold, the frontier can grow
-// large on dense data; the k-th emitted support effectively becomes the
-// threshold, so small k on heavy-tailed data is cheap.
+// mineTopK is the sequential best-first top-k search behind
+// MineTopKParallel at one worker. When ctx is done, the search stops and
+// the patterns emitted so far come back with Stats.Truncated set (they
+// are still the true top patterns — best-first order guarantees every
+// emitted pattern outranks everything unexplored).
 //
 // The frontier is arena-backed: nodes live in blocks carved from a
 // per-search allocator and store only (parent, last event, support), so a
@@ -31,22 +25,7 @@ import (
 // the node is popped (closed mode re-grows the prefix chain anyway for the
 // closure check, so the expansion rides on it for free), and popped or
 // pruned nodes return to a free list once their last child is gone.
-func MineTopK(v IndexView, k int, closed bool, maxLen int) (*Result, error) {
-	return MineTopKCtx(context.Background(), v, k, closed, maxLen)
-}
-
-// MineTopKCtx is MineTopK with cancellation: when ctx is done, the search
-// stops and the patterns emitted so far come back with Stats.Truncated set
-// (they are still the true top patterns — best-first order guarantees
-// every emitted pattern outranks everything unexplored).
-func MineTopKCtx(ctx context.Context, v IndexView, k int, closed bool, maxLen int) (*Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	ix := v.MiningIndex()
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func mineTopK(ctx context.Context, ix *seq.Index, k int, closed bool, maxLen int) *Result {
 	start := time.Now()
 	m := newMiner(ix, Options{MinSupport: 1, Closed: closed})
 	f := &topkFrontier{}
@@ -56,10 +35,9 @@ func MineTopKCtx(ctx context.Context, v IndexView, k int, closed bool, maxLen in
 	} else {
 		runTopKSearch(ctx, m, f, ix.FrequentEvents(1), k, closed, maxLen)
 	}
-	m.res.Stats.WorkersRequested = 1
 	m.res.Stats.WorkersEffective = 1
 	m.res.Stats.Duration = time.Since(start)
-	return m.res, nil
+	return m.res
 }
 
 // runTopKSearch seeds the frontier with the size-1 patterns and pops
@@ -186,9 +164,22 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 	return emit
 }
 
-// MineTopKParallel is MineTopKCtx fanned out over `workers` goroutines
-// (clamped to GOMAXPROCS — output is byte-identical at any worker count,
-// so oversubscription would only add scheduling overhead). The frontier is
+// MineTopKParallel returns the k highest-support (closed) patterns without
+// a support threshold, by best-first search over the pattern-growth tree:
+// since support never increases along a growth edge (Apriori), popping
+// nodes in descending support order emits patterns in non-increasing
+// support order, so the first k (closed) pops are a valid top-k set. Ties
+// are broken lexicographically for determinism. maxLen (0 = unbounded)
+// bounds pattern length.
+//
+// Intended for exploratory use: without a threshold, the frontier can grow
+// large on dense data; the k-th emitted support effectively becomes the
+// threshold, so small k on heavy-tailed data is cheap.
+//
+// workers <= 1 (or a host with one usable CPU) runs the sequential search.
+// Otherwise the search fans out over `workers` goroutines (clamped to
+// GOMAXPROCS — output is byte-identical at any worker count, so
+// oversubscription would only add scheduling overhead). The frontier is
 // sharded: every worker owns a private arena-backed best-first heap seeded
 // with a round-robin share of the size-1 patterns (heaviest first) and
 // expands it independently — no locks on the expansion path. The workers
@@ -202,7 +193,8 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 // pre-prunes children at push time, before their instance sets are grown.
 // The final merge sorts the surviving candidates by (support desc, pattern
 // lex asc) — the sequential pop order — so the result is byte-identical to
-// MineTopK's for any worker count and any steal/schedule timing.
+// the sequential search's for any worker count and any steal/schedule
+// timing.
 //
 // The search typically visits somewhat more nodes than the sequential run
 // (each shard explores until the shared bound proves its frontier dead,
@@ -214,25 +206,22 @@ func (m *miner) visitTopKNode(f *topkFrontier, n *topkNode, pattern []seq.EventI
 // guaranteed to be the true top-k (an unexplored shard may still have held
 // better patterns).
 func MineTopKParallel(ctx context.Context, v IndexView, k int, closed bool, maxLen, workers int) (*Result, error) {
-	requested := workers
-	if requested < 1 {
-		requested = 1
-	}
-	workers = effectiveWorkers(workers)
-	if workers <= 1 {
-		res, err := MineTopKCtx(ctx, v, k, closed, maxLen)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.WorkersRequested = requested
-		return res, nil
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	ix := v.MiningIndex()
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	requested := workers
+	if requested < 1 {
+		requested = 1
+	}
+	workers = effectiveWorkers(workers)
+	if workers <= 1 {
+		res := mineTopK(ctx, ix, k, closed, maxLen)
+		res.Stats.WorkersRequested = requested
+		return res, nil
 	}
 	start := time.Now()
 	merged := &Result{}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,7 +107,7 @@ func RunGrid(spec GridSpec) ([]GridRow, error) {
 		for _, k := range spec.Ks {
 			for _, workers := range spec.Workers {
 				for rep := 1; rep <= spec.Repeat; rep++ {
-					res, err := core.MineTopKParallel(nil, ix, k, closed, spec.MaxLen, workers)
+					res, err := core.MineTopKParallel(context.Background(), ix, k, closed, spec.MaxLen, workers)
 					if err != nil {
 						return nil, err
 					}

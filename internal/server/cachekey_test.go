@@ -1,6 +1,9 @@
 package server
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestCacheKeyCanonicalization: every option that changes what a mining
 // run measures must land in the cache key; worker count and streaming
@@ -16,7 +19,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		{Closed: true, MinSupport: 10, MaxPatternLength: 4},
 		{Closed: true, MinSupport: 10, MaxPatterns: 100},
 		{Closed: true, MinSupport: 10, Instances: true},
-		{Closed: true, MinSupport: 10, DisableFastNext: true},
 		{TopK: 5},
 	}
 	seen := map[string]int{}
@@ -52,5 +54,24 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	// 1/snapshot 2 and upload 2/snapshot 1 are different data.
 	if base.cacheKey("db", 1, 2) == base.cacheKey("db", 2, 1) {
 		t.Error("upload and snapshot generations collide")
+	}
+}
+
+// TestRetiredFastNextFieldIgnored: "disableFastNext" is no longer a
+// request field. The decoder ignores it, so an old client's body still
+// mines (200) and replays the entry of the same body without it.
+func TestRetiredFastNextFieldIgnored(t *testing.T) {
+	h := newHandler(t)
+	upload(t, h, "ex11", "chars", example11)
+	plain := mineJSON(t, h, "ex11", `{"closed":true,"minSupport":2}`)
+	if plain.Cached {
+		t.Fatal("first mine served from cache")
+	}
+	retired := mineJSON(t, h, "ex11", `{"closed":true,"minSupport":2,"disableFastNext":true}`)
+	if !retired.Cached {
+		t.Error("disableFastNext body missed the cache entry of the same body without it")
+	}
+	if got, want := mustJSON(t, retired.Patterns), mustJSON(t, plain.Patterns); !bytes.Equal(got, want) {
+		t.Errorf("disableFastNext body returned different patterns:\n got %s\nwant %s", got, want)
 	}
 }

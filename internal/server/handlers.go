@@ -529,8 +529,6 @@ func (s *Server) runMine(ctx context.Context, snap *repro.Snapshot, q *mineReque
 			Ctx:              ctx,
 			MaxPatternLength: q.MaxPatternLength,
 			Workers:          q.Workers,
-			DisableFastNext:  q.DisableFastNext,
-			Semantics:        q.sem,
 		})
 	} else {
 		opt := repro.Options{
@@ -541,7 +539,6 @@ func (s *Server) runMine(ctx context.Context, snap *repro.Snapshot, q *mineReque
 			Workers:          q.Workers,
 			Ctx:              ctx,
 			OnPattern:        onPattern,
-			DisableFastNext:  q.DisableFastNext,
 			Semantics:        q.sem,
 			MinGap:           q.MinGap,
 			MaxGap:           q.MaxGap,

@@ -44,7 +44,7 @@ func TestMineSemanticsRoundTrip(t *testing.T) {
 	// Parallel runs return the same patterns per mode.
 	for _, sem := range []string{"repetitive", "nonoverlap", "compressed"} {
 		seqResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q}`, sem))
-		parResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q,"workers":4,"disableFastNext":true}`, sem))
+		parResp := mineJSON(t, h, "ex11", fmt.Sprintf(`{"minSupport":2,"semantics":%q,"workers":4}`, sem))
 		if len(seqResp.Patterns) != len(parResp.Patterns) {
 			t.Errorf("%s: workers=4 returned %d patterns, sequential %d", sem, len(parResp.Patterns), len(seqResp.Patterns))
 			continue
@@ -155,6 +155,10 @@ func TestErrorStatusTaxonomy(t *testing.T) {
 		{"mine unknown semantics", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"bogus"}`, http.StatusBadRequest},
 		{"mine invalid threshold", "POST", "/v1/databases/ex11/mine", `{"minSupport":0}`, http.StatusBadRequest},
 		{"topk non-repetitive", "POST", "/v1/databases/ex11/mine", `{"topK":3,"semantics":"nonoverlap"}`, http.StatusBadRequest},
+		{"topk with gap bounds", "POST", "/v1/databases/ex11/mine", `{"topK":3,"minGap":1,"maxGap":2}`, http.StatusBadRequest},
+		{"topk with minGap", "POST", "/v1/databases/ex11/mine", `{"topK":3,"minGap":1}`, http.StatusBadRequest},
+		{"topk with maxGap", "POST", "/v1/databases/ex11/mine", `{"topK":3,"maxGap":2}`, http.StatusBadRequest},
+		{"topk with delta", "POST", "/v1/databases/ex11/mine", `{"topK":3,"compressDelta":0.5}`, http.StatusBadRequest},
 		{"closed nonoverlap", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"nonoverlap","closed":true}`, http.StatusBadRequest},
 		{"closed gapped", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"semantics":"gapped","closed":true}`, http.StatusBadRequest},
 		{"gap bounds without gapped", "POST", "/v1/databases/ex11/mine", `{"minSupport":2,"maxGap":2}`, http.StatusBadRequest},

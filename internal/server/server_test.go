@@ -197,7 +197,7 @@ func TestMineParityWithLibrary(t *testing.T) {
 		t.Errorf("numPatterns = %d, want %d", resp.NumPatterns, len(want))
 	}
 
-	// Top-k mode against the library's MineTopK.
+	// Top-k mode against the library's MineTopKWith.
 	respK := mineJSON(t, h, "ex11", `{"topK":3,"closed":true}`)
 	if respK.Algorithm != "CloTopK" {
 		t.Fatalf("topk summary: %+v", respK.mineSummary)
@@ -213,7 +213,7 @@ func TestMineParityWithLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topk, err := db.MineTopK(3, true)
+	topk, err := db.MineTopKWith(3, true, repro.TopKOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMineParityWithLibrary(t *testing.T) {
 		wantK[i] = toPatternJSON(p)
 	}
 	if got, exp := mustJSON(t, respK.Patterns), mustJSON(t, wantK); !bytes.Equal(got, exp) {
-		t.Errorf("server top-k differs from direct MineTopK:\n got %s\nwant %s", got, exp)
+		t.Errorf("server top-k differs from direct MineTopKWith:\n got %s\nwant %s", got, exp)
 	}
 }
 

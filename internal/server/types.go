@@ -33,11 +33,6 @@ type mineRequest struct {
 	// they are mined, then a final {"summary": ...} line. Also selected by
 	// an "Accept: application/x-ndjson" header.
 	Stream bool `json:"stream"`
-	// DisableFastNext mines with the binary-search next() index instead
-	// of the O(1) successor tables (the paper's original formulation).
-	// Results are identical; the knob exists for ablation and for
-	// memory-constrained deployments.
-	DisableFastNext bool `json:"disableFastNext"`
 	// Semantics selects the occurrence semantics: "repetitive" (default),
 	// "nonoverlap", "compressed", or "gapped" — the names accepted by
 	// repro.ParseSemantics. See the README's "Mining modes" matrix.
@@ -93,6 +88,9 @@ func (q *mineRequest) validate() error {
 	if q.TopK > 0 && sem != repro.SemanticsRepetitive {
 		return fmt.Errorf("%w: topK supports only repetitive semantics (got %s)", repro.ErrInvalidOptions, sem)
 	}
+	if q.TopK > 0 && (q.MinGap != 0 || q.MaxGap != 0 || q.CompressDelta != 0) {
+		return fmt.Errorf("%w: minGap, maxGap and compressDelta are not supported in top-k mode", repro.ErrInvalidOptions)
+	}
 	return nil
 }
 
@@ -127,24 +125,21 @@ func (q *mineRequest) algorithm() string {
 // and identical across worker counts (the core's parity tests assert
 // byte-equality), so a result mined at any worker count serves every
 // other. Stream is excluded too — a cached result can be replayed in
-// either representation. DisableFastNext is included even though both
-// index variants provably produce identical results (the parity tests
-// assert it): the knob exists precisely to measure the variants against
-// each other, and serving a cached fast-index result to a
-// disableFastNext probe would silently invalidate the measurement.
+// either representation.
 //
 // Semantics is a cache dimension, canonicalized through the parsed value
 // (so "" and "repetitive" share entries), as are its mode parameters:
 // minGap/maxGap (always 0 outside gapped mode — validation rejects them
-// elsewhere) and the compression tolerance, where delta=0 is canonicalized
-// to the default it selects so explicit-default requests share the entry.
+// elsewhere, top-k included) and the compression tolerance, where delta=0
+// is canonicalized to the default it selects so explicit-default requests
+// share the entry.
 func (q *mineRequest) cacheKey(db string, uploadGen, snapGen uint64) string {
 	delta := q.CompressDelta
 	if q.sem == repro.SemanticsCompressed && delta == 0 {
 		delta = repro.DefaultCompressDelta
 	}
-	return fmt.Sprintf("%s@%d.%d|sem=%s closed=%t minsup=%d topk=%d maxlen=%d maxpat=%d inst=%t fastnext=%t mingap=%d maxgap=%d delta=%g",
-		db, uploadGen, snapGen, q.sem, q.Closed, q.MinSupport, q.TopK, q.MaxPatternLength, q.MaxPatterns, q.Instances, !q.DisableFastNext, q.MinGap, q.MaxGap, delta)
+	return fmt.Sprintf("%s@%d.%d|sem=%s closed=%t minsup=%d topk=%d maxlen=%d maxpat=%d inst=%t mingap=%d maxgap=%d delta=%g",
+		db, uploadGen, snapGen, q.sem, q.Closed, q.MinSupport, q.TopK, q.MaxPatternLength, q.MaxPatterns, q.Instances, q.MinGap, q.MaxGap, delta)
 }
 
 // mineOutcome is a finished mining run as held in the cache.

@@ -23,7 +23,7 @@ type Snapshot struct {
 	// is uncontended.
 	ixMu sync.Mutex
 	fast *seq.Index // FastNext successor-table index (mining default)
-	slow *seq.Index // binary-search index (DisableFastNext runs)
+	slow *seq.Index // binary-search index (Index(true); no mining surface asks for it)
 
 	statsOnce sync.Once
 	stats     seq.Stats

@@ -95,7 +95,7 @@ func TestPublicMineTopK(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("S1", "ABCACBDDB")
 	db.AddString("S2", "ACDBACADD")
-	res, err := db.MineTopK(3, true)
+	res, err := db.MineTopKWith(3, true, TopKOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPublicMineTopK(t *testing.T) {
 			t.Error("top-k not in support order")
 		}
 	}
-	if _, err := db.MineTopK(0, false); err == nil {
+	if _, err := db.MineTopKWith(0, false, TopKOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestPublicMineTopK(t *testing.T) {
 func TestPublicTopKBeyondTotal(t *testing.T) {
 	db := NewDatabase()
 	db.AddString("", "AB")
-	res, err := db.MineTopK(100, false)
+	res, err := db.MineTopKWith(100, false, TopKOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,10 +67,9 @@ func (f Format) internal() (seq.Format, error) {
 // Mining uses a FastNext index by default: per-sequence successor tables
 // that answer the paper's next(S, e, lowest) primitive in O(1) instead of
 // O(log L), built lazily under a memory budget (sequences whose table
-// would not fit fall back to binary search individually). Runs with
-// Options.DisableFastNext use a separate binary-search-only index. Once an
-// index variant has been built, appends maintain it incrementally in
-// O(delta) instead of rebuilding it.
+// would not fit fall back to binary search individually). Once the index
+// has been built, appends maintain it incrementally in O(delta) instead of
+// rebuilding it.
 type Database struct {
 	// st is swapped atomically when a replica re-bootstraps onto a fresh
 	// lineage (see OpenReplica); for every other database it is set once.
@@ -307,12 +306,6 @@ type Options struct {
 	// DiscardPatterns suppresses accumulation in Result.Patterns — use with
 	// OnPattern when streaming huge results to keep memory flat.
 	DiscardPatterns bool
-	// DisableFastNext runs this query against the binary-search next()
-	// index instead of the O(1) successor tables — the paper's original
-	// O(log L) formulation. Output is identical; only the speed/memory
-	// trade-off changes. The binary-search index is built lazily on the
-	// first such run and cached alongside the fast one.
-	DisableFastNext bool
 	// Semantics selects the occurrence semantics of the run; the zero
 	// value is SemanticsRepetitive, the paper's definition. See the
 	// Semantics constants for the modes and their papers.
@@ -426,14 +419,7 @@ func (s *Snapshot) mine(opt Options, closed bool) (*Result, error) {
 		cb := opt.OnPattern
 		copt.OnPattern = func(p core.Pattern) bool { return cb(s.exportPattern(p)) }
 	}
-	ix := s.s.Index(opt.DisableFastNext)
-	var res *core.Result
-	var err error
-	if opt.Workers > 1 {
-		res, err = core.MineParallel(ix, copt, opt.Workers)
-	} else {
-		res, err = core.Mine(ix, copt)
-	}
+	res, err := core.MineParallel(s.s.Index(false), copt, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
 	}
@@ -526,17 +512,8 @@ func (s *Snapshot) exportInstances(set core.FullSet) []Instance {
 	return out
 }
 
-// MineTopK returns the k highest-support patterns (closed patterns when
-// closed is set) without requiring a support threshold, via best-first
-// search over the pattern-growth tree. Patterns come back in
-// non-increasing support order, ties broken lexicographically. Intended
-// for exploration; on dense data prefer Mine with a threshold.
-func (d *Database) MineTopK(k int, closed bool) (*Result, error) {
-	return d.MineTopKContext(context.Background(), k, closed, 0)
-}
-
-// TopKOptions configures MineTopKWith. The zero value matches MineTopK's
-// defaults.
+// TopKOptions configures MineTopKWith. The zero value mines sequentially
+// with no pattern length bound.
 type TopKOptions struct {
 	// MaxPatternLength bounds pattern length; 0 = unbounded.
 	MaxPatternLength int
@@ -551,41 +528,23 @@ type TopKOptions struct {
 	// a cancelled parallel search returns its best candidates so far
 	// without that guarantee.
 	Ctx context.Context
-	// DisableFastNext runs the search against the binary-search next()
-	// index, with the same contract as Options.DisableFastNext.
-	DisableFastNext bool
-	// Semantics selects the occurrence semantics. The best-first top-k
-	// search is defined over repetitive support only, so any value other
-	// than SemanticsRepetitive is rejected with ErrInvalidOptions; for a
-	// small representative pattern set use Mine with SemanticsCompressed
-	// and MaxPatterns instead.
-	Semantics Semantics
 }
 
-// MineTopKContext is MineTopK with cancellation and an optional pattern
-// length bound (maxLen 0 = unbounded): when ctx is done, the search stops
-// and the patterns found so far come back with Result.Truncated set.
-func (d *Database) MineTopKContext(ctx context.Context, k int, closed bool, maxLen int) (*Result, error) {
-	return d.MineTopKWith(k, closed, TopKOptions{Ctx: ctx, MaxPatternLength: maxLen})
-}
-
-// MineTopKWith is MineTopK with the full set of run-level options the
-// top-k search supports.
+// MineTopKWith returns the k highest-support patterns (closed patterns
+// when closed is set) of the current snapshot without requiring a support
+// threshold, via best-first search over the pattern-growth tree. Patterns
+// come back in non-increasing support order, ties broken
+// lexicographically. Support is repetitive support: the search relies on
+// it never increasing along a growth edge. Intended for exploration; on
+// dense data prefer Mine with a threshold.
 func (d *Database) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, error) {
 	return d.Snapshot().MineTopKWith(k, closed, opt)
 }
 
 // MineTopKWith mines the k highest-support (closed) patterns of this
-// generation; see Database.MineTopK.
+// generation; see Database.MineTopKWith.
 func (s *Snapshot) MineTopKWith(k int, closed bool, opt TopKOptions) (*Result, error) {
-	switch opt.Semantics {
-	case SemanticsRepetitive:
-	case SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped:
-		return nil, fmt.Errorf("repro: %w: top-k search supports only repetitive semantics (got %s)", ErrInvalidOptions, opt.Semantics)
-	default:
-		return nil, fmt.Errorf("repro: %w %s", ErrUnknownSemantics, opt.Semantics)
-	}
-	res, err := core.MineTopKParallel(opt.Ctx, s.s.Index(opt.DisableFastNext), k, closed, opt.MaxPatternLength, opt.Workers)
+	res, err := core.MineTopKParallel(opt.Ctx, s.s.Index(false), k, closed, opt.MaxPatternLength, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w: %v", ErrInvalidOptions, err)
 	}

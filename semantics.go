@@ -33,8 +33,12 @@ const (
 	SemanticsCompressed
 	// SemanticsGapped mines under a gap constraint: every gap between
 	// consecutive pattern events must lie in [MinGap, MaxGap] (the
-	// paper's Section V future-work extension; see MineGapConstrained's
-	// notes on how gap constraints change the algorithm).
+	// paper's Section V future-work extension). Support is the maximum
+	// number of non-overlapping instances whose gaps all lie in range,
+	// computed per sequence by max flow. It is monotone under prefixes
+	// but not under arbitrary sub-patterns (deleting a middle event
+	// merges two gaps), so unlike the other modes the result set is
+	// closed under prefixes only.
 	SemanticsGapped
 )
 

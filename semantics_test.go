@@ -64,40 +64,6 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestGapWrapperParity: the deprecated MineGapConstrained wrapper and the
-// unified Options.Semantics surface return identical results on the
-// shipped fixtures.
-func TestGapWrapperParity(t *testing.T) {
-	fixtures := map[string]Format{
-		"testdata/example11.chars": Chars,
-		"testdata/traces.tokens":   Tokens,
-	}
-	for path, format := range fixtures {
-		db, err := LoadFile(path, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, gaps := range []struct{ min, max int }{{0, 0}, {0, 2}, {1, 3}} {
-			old, err := db.MineGapConstrained(GapOptions{MinSupport: 2, MinGap: gaps.min, MaxGap: gaps.max})
-			if err != nil {
-				t.Fatal(err)
-			}
-			unified, err := db.Mine(Options{
-				MinSupport: 2, Semantics: SemanticsGapped, MinGap: gaps.min, MaxGap: gaps.max,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(old.Patterns, unified.Patterns) {
-				t.Errorf("%s gaps [%d,%d]: wrapper and unified surface disagree", path, gaps.min, gaps.max)
-			}
-			if old.NumPatterns != unified.NumPatterns || old.Truncated != unified.Truncated {
-				t.Errorf("%s gaps [%d,%d]: result metadata disagrees", path, gaps.min, gaps.max)
-			}
-		}
-	}
-}
-
 // TestPublicNonOverlapSemantics: the disjoint-window mode through the
 // public API, pinned on the hand-checked AABB case where repetitive and
 // nonoverlap supports differ.
@@ -173,21 +139,21 @@ func patternKey(events []string) string {
 	return key
 }
 
-// TestTopKSemanticsRejection: the best-first search takes only repetitive
-// semantics.
+// TestTopKSemanticsRejection: top-k takes no semantics option, so a
+// non-repetitive top-k cannot be expressed; the search ranks by repetitive
+// support. On AABB, sup(AB) is 2 under repetitive semantics and 1 under
+// nonoverlap.
 func TestTopKSemanticsRejection(t *testing.T) {
 	db := NewDatabase()
-	db.AddString("", "ABAB")
-	if _, err := db.MineTopKWith(2, false, TopKOptions{}); err != nil {
+	db.AddString("", "AABB")
+	res, err := db.MineTopKWith(3, false, TopKOptions{})
+	if err != nil {
 		t.Fatalf("default top-k: %v", err)
 	}
-	for _, s := range []Semantics{SemanticsNonOverlapping, SemanticsCompressed, SemanticsGapped} {
-		if _, err := db.MineTopKWith(2, false, TopKOptions{Semantics: s}); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("top-k × %s: %v, want ErrInvalidOptions", s, err)
+	for _, p := range res.Patterns {
+		if want := db.Support(p.Events); p.Support != want {
+			t.Errorf("top-k %v: support %d, want repetitive support %d", p.Events, p.Support, want)
 		}
-	}
-	if _, err := db.MineTopKWith(2, false, TopKOptions{Semantics: Semantics(42)}); !errors.Is(err, ErrUnknownSemantics) {
-		t.Error("top-k with unknown semantics: want ErrUnknownSemantics")
 	}
 }
 
